@@ -15,7 +15,7 @@
 //! full DP tuner.
 
 use crate::plan::{Choice, TunedFamily};
-use crate::tuner::{TunerOptions, VTuner};
+use crate::tuner::{Iterated, TunerOptions, VTuner};
 
 /// Build the heuristic family for strategy `sub_acc`/`final_acc`
 /// (`sub_acc == final_acc` gives the paper's plain "Strategy 10⁹").
@@ -50,35 +50,26 @@ pub fn fixed_strategy_family(sub_acc: f64, final_acc: f64, base: &TunerOptions) 
         for inst in &mut instances {
             inst.ensure_x_opt(&tuner.options().exec, tuner.cache());
         }
-        for (i, &target) in accuracies.iter().enumerate() {
-            let partial = tuner.family_view(&plans, k);
-            // Candidate 1: direct (if available/affordable).
-            let direct = tuner.measure_direct(k, &instances);
-            let budget = direct.as_ref().filter(|d| d.feasible).map(|d| d.cost);
-            // Candidate 2: RECURSE at the pinned sub accuracy (index 0).
-            let recurse = tuner.measure_recurse(&partial, k, 0, target, &instances, budget);
-
-            let choice = match (direct, recurse) {
-                (Some(d), Some(r)) if d.feasible && r.feasible => {
-                    if d.cost <= r.cost {
-                        Choice::Direct
-                    } else {
-                        Choice::Recurse {
-                            sub_accuracy: 0,
-                            iterations: r.iterations,
-                        }
-                    }
-                }
-                (Some(d), _) if d.feasible => Choice::Direct,
-                (_, Some(r)) if r.feasible => Choice::Recurse {
-                    sub_accuracy: 0,
-                    iterations: r.iterations,
-                },
+        let partial = tuner.family_view(&plans, k);
+        // Candidate 1: direct (if available/affordable), priced once.
+        let direct = tuner.measure_direct(k, &instances);
+        let budget = direct.as_ref().filter(|d| d.feasible).map(|d| d.cost);
+        // Candidate 2: RECURSE at the pinned sub accuracy (index 0), one
+        // trajectory read off for every target.
+        let recurse = Iterated::Recurse {
+            partial: &partial,
+            sub_acc: 0,
+        };
+        let measured = tuner.measure_iterated(k, recurse, &vec![budget; m], &instances);
+        for r in measured {
+            let choice = match (&direct, r.feasible) {
+                (Some(d), true) if d.feasible && d.cost <= r.cost => Choice::Direct,
+                (_, true) => recurse.choice(r.iterations),
+                (Some(d), false) if d.feasible => Choice::Direct,
                 _ => panic!(
                     "heuristic {sub_acc:e}/{final_acc:e}: no feasible candidate at level {k}"
                 ),
             };
-            let _ = i;
             plans[k].push(choice);
         }
     }

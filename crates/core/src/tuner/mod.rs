@@ -1,20 +1,28 @@
 //! The accuracy-aware dynamic-programming autotuner (§2.2–2.3).
 //!
 //! For each level `k` (grid `N = 2^k + 1`), **after** all accuracies of
-//! level `k−1` are tuned, and for each target accuracy `p_i`, the tuner
-//! measures three candidate classes on training instances:
+//! level `k−1` are tuned, the tuner fills every accuracy slot
+//! `plans[k][i]` of the level in one pass, measuring three candidate
+//! classes on training instances:
 //!
-//! * **Direct** — exact, cost known (or measured);
-//! * **SOR(ω_opt) × t** — `t` determined by iterating until the
-//!   error-ratio metric reaches `p_i`;
+//! * **Direct** — exact, cost known (or measured); priced once per
+//!   level;
 //! * **RECURSE_j × t** for every `j` — each cycle recursing into the
-//!   already-tuned `MULTIGRID-V_j` of level `k−1`; `t` again measured.
+//!   already-tuned `MULTIGRID-V_j` of level `k−1`;
+//! * **SOR(ω_opt) × t**.
 //!
-//! The fastest feasible candidate is stored in the DP table
-//! (`plans[k][i]`). Candidates are evaluated cheap-first with an
-//! early-abandon budget so that hopeless SOR runs at large sizes cannot
-//! dominate tuning time (the paper instead capped its search space; the
-//! effect is the same).
+//! A candidate's convergence does not depend on the target, so each
+//! iterated candidate runs **one trajectory** per training instance and
+//! the error-ratio metric is read off it for all targets `p_i` at once:
+//! `t` for target `i` is the first iteration that reaches `p_i`. Each
+//! target keeps its own incumbent — the cheapest feasible candidate
+//! seen so far for that slot, in the order Direct, `RECURSE_0` …
+//! `RECURSE_{m−1}`, SOR — as an early-abandon budget, so hopeless SOR
+//! runs at large sizes cannot dominate tuning time (the paper instead
+//! capped its search space; the effect is the same). A trajectory stops
+//! once every target has reached its accuracy or been abandoned, and
+//! later instances run only for targets still feasible. The fastest
+//! feasible candidate of each slot is stored in the DP table.
 
 mod fmg;
 mod knobs;
@@ -32,7 +40,7 @@ use crate::cost::{CostModel, MachineProfile, OpCounts};
 use crate::plan::{Choice, ExecCtx, TunedFamily, PAPER_ACCURACIES};
 use crate::training::{Distribution, ProblemInstance};
 use petamg_choice::{KernelKnobs, KnobTable};
-use petamg_grid::{l2_diff, level_size, Exec, Workspace};
+use petamg_grid::{l2_diff, level_size, Exec, Grid2d, Workspace};
 use petamg_problems::Problem;
 use petamg_solvers::relax::{omega_opt, sor_sweep_op};
 use petamg_solvers::DirectSolverCache;
@@ -214,6 +222,111 @@ pub(crate) struct Measured {
     pub(crate) cost: f64,
 }
 
+impl Measured {
+    /// A candidate given up on after `iterations` at error ratio
+    /// `accuracy` (over budget, or out of iterations).
+    fn abandoned(accuracy: f64, iterations: u32) -> Self {
+        Measured {
+            feasible: false,
+            accuracy,
+            iterations,
+            cost: f64::INFINITY,
+        }
+    }
+}
+
+/// A candidate measured by iterating it from `x₀` until it reaches an
+/// accuracy target.
+#[derive(Clone, Copy)]
+pub(crate) enum Iterated<'a> {
+    /// `RECURSE_{sub_acc}` cycles into the already-tuned levels of
+    /// `partial`.
+    Recurse {
+        partial: &'a TunedFamily,
+        sub_acc: usize,
+    },
+    /// SOR(ω_opt) sweeps.
+    Sor,
+}
+
+impl Iterated<'_> {
+    /// The plan choice that runs this candidate `iterations` times.
+    pub(crate) fn choice(self, iterations: u32) -> Choice {
+        match self {
+            Iterated::Recurse { sub_acc, .. } => Choice::Recurse {
+                sub_accuracy: sub_acc as u8,
+                iterations,
+            },
+            Iterated::Sor => Choice::Sor { iterations },
+        }
+    }
+}
+
+/// One `(level, acc)` slot while its level is being tuned: the
+/// candidates evaluated for it so far and its incumbent.
+struct Slot {
+    level: usize,
+    acc_idx: usize,
+    evals: Vec<CandidateEval>,
+    /// `(cost, iterations, choice)` of the fastest feasible candidate.
+    best: Option<(f64, u32, Choice)>,
+}
+
+impl Slot {
+    fn new(level: usize, acc_idx: usize) -> Self {
+        Slot {
+            level,
+            acc_idx,
+            evals: Vec::new(),
+            best: None,
+        }
+    }
+
+    /// The incumbent's cost: the early-abandon budget for the next
+    /// candidate.
+    fn budget(&self) -> Option<f64> {
+        self.best.map(|(cost, _, _)| cost)
+    }
+
+    fn consider(&mut self, meas: &Measured, choice: Choice) {
+        self.evals.push(CandidateEval {
+            level: self.level,
+            acc_idx: self.acc_idx,
+            choice,
+            accuracy: meas.accuracy,
+            cost: meas.cost,
+            selected: false,
+            feasible: meas.feasible,
+        });
+        if meas.feasible {
+            let better = match self.best {
+                None => true,
+                Some((c, it, _)) => meas.cost < c || (meas.cost == c && meas.iterations < it),
+            };
+            if better {
+                self.best = Some((meas.cost, meas.iterations, choice));
+            }
+        }
+    }
+
+    /// The slot's winner, and its evaluations with the winner flagged.
+    fn finish(mut self, target: f64) -> (Choice, Vec<CandidateEval>) {
+        let level = self.level;
+        let (_, _, winner) = self.best.unwrap_or_else(|| {
+            panic!(
+                "no feasible candidate at level {level} for accuracy {target:e} \
+                 (all iteration caps hit — raise recurse_cap/sor_cap_mult)"
+            )
+        });
+        for e in &mut self.evals {
+            if e.choice == winner {
+                e.selected = true;
+            }
+        }
+        (winner, self.evals)
+    }
+}
+
 /// The `MULTIGRID-V_i` dynamic-programming tuner.
 pub struct VTuner {
     opts: TunerOptions,
@@ -288,13 +401,10 @@ impl VTuner {
             for inst in &mut instances {
                 inst.ensure_x_opt(&self.opts.exec, &self.cache);
             }
-            for i in 0..m {
-                let target = self.opts.accuracies[i];
-                let partial = self.family_view(&plans, k);
-                let (choice, evals) = self.tune_slot(&partial, k, i, target, &instances);
-                diags.evaluations.extend(evals);
-                plans[k].push(choice);
-            }
+            let partial = self.family_view(&plans, k);
+            let (choices, evals) = self.tune_level(&partial, k, &instances);
+            diags.evaluations.extend(evals);
+            plans[k] = choices;
         }
 
         let family = TunedFamily {
@@ -320,84 +430,49 @@ impl VTuner {
         (family, diags)
     }
 
-    /// Tune one `(level, acc)` slot: evaluate all candidates, pick the
-    /// fastest feasible one.
-    fn tune_slot(
+    /// Tune every accuracy slot of `level` in one pass. Direct is
+    /// priced once; each iterated candidate then runs once per training
+    /// instance and its error-ratio trajectory is read off for all
+    /// targets at once (a candidate's convergence does not depend on
+    /// the target). Each slot keeps its own incumbent as the
+    /// early-abandon budget and sees its candidates in the order Direct,
+    /// `RECURSE_0` … `RECURSE_{m−1}`, SOR; the fastest feasible one wins.
+    fn tune_level(
         &self,
         partial: &TunedFamily,
         level: usize,
-        acc_idx: usize,
-        target: f64,
         instances: &[ProblemInstance],
-    ) -> (Choice, Vec<CandidateEval>) {
+    ) -> (Vec<Choice>, Vec<CandidateEval>) {
         let m = self.opts.accuracies.len();
-        let mut evals: Vec<CandidateEval> = Vec::new();
-        let mut best: Option<(f64, u32, Choice)> = None; // (cost, iters, choice)
-
-        let consider = |meas: Measured,
-                        choice: Choice,
-                        evals: &mut Vec<CandidateEval>,
-                        best: &mut Option<(f64, u32, Choice)>| {
-            evals.push(CandidateEval {
-                level,
-                acc_idx,
-                choice,
-                accuracy: meas.accuracy,
-                cost: meas.cost,
-                selected: false,
-                feasible: meas.feasible,
-            });
-            if meas.feasible {
-                let better = match best {
-                    None => true,
-                    Some((c, it, _)) => {
-                        meas.cost < *c || (meas.cost == *c && meas.iterations < *it)
-                    }
-                };
-                if better {
-                    *best = Some((meas.cost, meas.iterations, choice));
-                }
-            }
-        };
+        let mut slots: Vec<Slot> = (0..m).map(|acc_idx| Slot::new(level, acc_idx)).collect();
 
         // 1. Direct (cheap to price).
         if let Some(meas) = self.measure_direct(level, instances) {
-            consider(meas, Choice::Direct, &mut evals, &mut best);
-        }
-
-        // 2. RECURSE_j for every sub-accuracy.
-        for j in 0..m {
-            let budget = best.as_ref().map(|(c, _, _)| *c);
-            if let Some(meas) = self.measure_recurse(partial, level, j, target, instances, budget) {
-                let choice = Choice::Recurse {
-                    sub_accuracy: j as u8,
-                    iterations: meas.iterations,
-                };
-                consider(meas, choice, &mut evals, &mut best);
+            for slot in &mut slots {
+                slot.consider(&meas, Choice::Direct);
             }
         }
 
-        // 3. SOR, with the incumbent cost as an early-abandon budget.
-        let budget = best.as_ref().map(|(c, _, _)| *c);
-        if let Some(meas) = self.measure_sor(level, target, instances, budget) {
-            let choice = Choice::Sor {
-                iterations: meas.iterations,
-            };
-            consider(meas, choice, &mut evals, &mut best);
-        }
-
-        let (_, _, winner) = best.unwrap_or_else(|| {
-            panic!(
-                "no feasible candidate at level {level} for accuracy {target:e} \
-                 (all iteration caps hit — raise recurse_cap/sor_cap_mult)"
-            )
-        });
-        for e in &mut evals {
-            if e.choice == winner {
-                e.selected = true;
+        // 2. RECURSE_j for every sub-accuracy, then 3. SOR.
+        let iterated = (0..m)
+            .map(|sub_acc| Iterated::Recurse { partial, sub_acc })
+            .chain([Iterated::Sor]);
+        for cand in iterated {
+            let budgets: Vec<Option<f64>> = slots.iter().map(Slot::budget).collect();
+            let measured = self.measure_iterated(level, cand, &budgets, instances);
+            for (slot, meas) in slots.iter_mut().zip(&measured) {
+                slot.consider(meas, cand.choice(meas.iterations));
             }
         }
-        (winner, evals)
+
+        let mut plans = Vec::with_capacity(m);
+        let mut evals = Vec::new();
+        for (slot, &target) in slots.into_iter().zip(&self.opts.accuracies) {
+            let (winner, slot_evals) = slot.finish(target);
+            plans.push(winner);
+            evals.extend(slot_evals);
+        }
+        (plans, evals)
     }
 
     /// Search the kernel-knob space for `level`, seeded from the
@@ -538,201 +613,139 @@ impl VTuner {
         }
     }
 
-    /// Iterate SOR(ω_opt) on each instance until the error ratio reaches
-    /// `target`; iterations = max over instances.
-    pub(crate) fn measure_sor(
+    /// Iterate `cand` from `x₀` on each training instance, reading one
+    /// error-ratio trajectory off for every accuracy target of the
+    /// level. Target `i` is reached at the first iteration whose ratio
+    /// meets it, and abandoned (infeasible) once the iterations' modeled
+    /// cost passes 1.5 × `budgets[i]` — or, when timing, the wall time
+    /// passes 3 × `budgets[i]` — or the iteration cap is hit. A
+    /// trajectory stops once no target is pending; later instances run
+    /// only while some target is still feasible. A feasible target's
+    /// iterations are the max over instances, its accuracy the min.
+    pub(crate) fn measure_iterated(
         &self,
         level: usize,
-        target: f64,
+        cand: Iterated<'_>,
+        budgets: &[Option<f64>],
         instances: &[ProblemInstance],
-        budget: Option<f64>,
-    ) -> Option<Measured> {
+    ) -> Vec<Measured> {
+        let targets = &self.opts.accuracies;
+        assert_eq!(budgets.len(), targets.len(), "one budget per target");
+        let exec = &self.opts.exec;
         let n = level_size(level);
-        let omega = omega_opt(n);
         let op = self.opts.problem.op_for(n);
-        let cap = self.opts.sor_cap(n);
-        // Per-sweep modeled cost for budget math.
-        let sweep_cost = self.modeled_cost(&{
-            let mut ops = OpCounts::new(level);
-            ops.level_mut(level).relax_sweeps = 1;
-            ops
-        });
-        let wall_start = Instant::now();
-
-        let mut iterations: u32 = 0;
-        let mut worst_ratio = f64::INFINITY;
-        for inst in instances {
-            let x_opt = inst.x_opt().expect("training instances carry x_opt");
-            let mut x = inst.working_grid();
-            let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
-            let mut it = 0u32;
-            let mut ratio = 1.0;
-            while it < cap {
-                sor_sweep_op(&op, &mut x, &inst.b, omega, &self.opts.exec);
-                it += 1;
-                let e = l2_diff(&x, x_opt, &self.opts.exec);
-                ratio = ratio_of_errors(e0, e);
-                if ratio >= target {
-                    break;
-                }
-                if let (Some(b), Some(sc)) = (budget, sweep_cost) {
-                    if it as f64 * sc > b * 1.5 {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
-                    }
-                }
-                if let Some(b) = budget {
-                    if self.opts.cost_model.needs_timing()
-                        && wall_start.elapsed().as_secs_f64() > (3.0 * b).max(0.25)
-                    {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
-                    }
-                }
+        let omega = omega_opt(n);
+        let step = |x: &mut Grid2d, b: &Grid2d, ctx: &mut ExecCtx| match cand {
+            Iterated::Recurse { partial, sub_acc } => {
+                partial.recurse_step(level, sub_acc, x, b, ctx)
             }
-            if ratio < target {
-                return Some(Measured {
-                    feasible: false,
-                    accuracy: ratio,
-                    iterations: it,
-                    cost: f64::INFINITY,
-                });
-            }
-            iterations = iterations.max(it);
-            worst_ratio = worst_ratio.min(ratio);
-        }
-
-        let cost = match &self.opts.cost_model {
-            CostModel::Modeled(_) => sweep_cost.expect("modeled") * iterations as f64,
-            CostModel::Measured { trials } => {
-                let inst = &instances[0];
-                let mut best = f64::INFINITY;
-                for _ in 0..(*trials).max(1) {
-                    let mut x = inst.working_grid();
-                    let start = Instant::now();
-                    for _ in 0..iterations {
-                        sor_sweep_op(&op, &mut x, &inst.b, omega, &self.opts.exec);
-                    }
-                    best = best.min(start.elapsed().as_secs_f64());
-                }
-                best
+            Iterated::Sor => sor_sweep_op(&op, x, b, omega, exec),
+        };
+        // Modeled cost of one iteration: analytic for a sweep, priced
+        // off the first RECURSE iteration's op counts otherwise.
+        let (cap, mut iter_cost) = match cand {
+            Iterated::Recurse { .. } => (self.opts.recurse_cap, None),
+            Iterated::Sor => {
+                let mut ops = OpCounts::new(level);
+                ops.level_mut(level).relax_sweeps = 1;
+                (self.opts.sor_cap(n), self.modeled_cost(&ops))
             }
         };
-        Some(Measured {
-            feasible: true,
-            accuracy: worst_ratio,
-            iterations,
-            cost,
-        })
-    }
 
-    /// Iterate `RECURSE_j` cycles until the error ratio reaches `target`.
-    pub(crate) fn measure_recurse(
-        &self,
-        partial: &TunedFamily,
-        level: usize,
-        sub_acc: usize,
-        target: f64,
-        instances: &[ProblemInstance],
-        budget: Option<f64>,
-    ) -> Option<Measured> {
-        let cap = self.opts.recurse_cap;
+        // `None` while a target is still feasible.
+        let mut settled: Vec<Option<Measured>> = targets.iter().map(|_| None).collect();
+        let mut iterations = vec![0u32; targets.len()];
+        let mut worst_ratio = vec![f64::INFINITY; targets.len()];
         let wall_start = Instant::now();
-        let mut iterations: u32 = 0;
-        let mut worst_ratio = f64::INFINITY;
-        let mut per_iter_cost: Option<f64> = None;
-
         for inst in instances {
+            let mut pending: Vec<bool> = settled.iter().map(Option::is_none).collect();
+            if !pending.contains(&true) {
+                break;
+            }
             let x_opt = inst.x_opt().expect("training instances carry x_opt");
             let mut x = inst.working_grid();
-            let e0 = l2_diff(&inst.x0, x_opt, &self.opts.exec);
+            let e0 = l2_diff(&inst.x0, x_opt, exec);
             let mut ctx = self.fresh_ctx();
             let mut it = 0u32;
             let mut ratio = 1.0;
-            while it < cap {
-                partial.recurse_step(level, sub_acc, &mut x, &inst.b, &mut ctx);
+            while it < cap && pending.contains(&true) {
+                step(&mut x, &inst.b, &mut ctx);
                 it += 1;
-                if it == 1 && per_iter_cost.is_none() {
-                    per_iter_cost = self.modeled_cost(&ctx.ops);
+                if it == 1 && iter_cost.is_none() {
+                    iter_cost = self.modeled_cost(&ctx.ops);
                 }
-                let e = l2_diff(&x, x_opt, &self.opts.exec);
-                ratio = ratio_of_errors(e0, e);
-                if ratio >= target {
-                    break;
-                }
-                if let (Some(b), Some(c)) = (budget, per_iter_cost) {
-                    if it as f64 * c > b * 1.5 {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
+                ratio = ratio_of_errors(e0, l2_diff(&x, x_opt, exec));
+                let wall = (self.opts.cost_model.needs_timing())
+                    .then(|| wall_start.elapsed().as_secs_f64());
+                for (i, live) in pending.iter_mut().enumerate() {
+                    if !*live {
+                        continue;
                     }
-                }
-                if let Some(b) = budget {
-                    if self.opts.cost_model.needs_timing()
-                        && wall_start.elapsed().as_secs_f64() > (3.0 * b).max(0.25)
-                    {
-                        return Some(Measured {
-                            feasible: false,
-                            accuracy: ratio,
-                            iterations: it,
-                            cost: f64::INFINITY,
-                        });
+                    if ratio >= targets[i] {
+                        *live = false;
+                        iterations[i] = iterations[i].max(it);
+                        worst_ratio[i] = worst_ratio[i].min(ratio);
+                    } else if let Some(b) = budgets[i] {
+                        let over_model = iter_cost.is_some_and(|c| it as f64 * c > b * 1.5);
+                        let over_wall = wall.is_some_and(|w| w > (3.0 * b).max(0.25));
+                        if over_model || over_wall {
+                            *live = false;
+                            settled[i] = Some(Measured::abandoned(ratio, it));
+                        }
                     }
                 }
             }
-            if ratio < target {
-                return Some(Measured {
-                    feasible: false,
-                    accuracy: ratio,
-                    iterations: it,
-                    cost: f64::INFINITY,
-                });
+            // Whatever is still pending hit the iteration cap.
+            for (outcome, live) in settled.iter_mut().zip(pending) {
+                if live {
+                    *outcome = Some(Measured::abandoned(ratio, it));
+                }
             }
-            iterations = iterations.max(it);
-            worst_ratio = worst_ratio.min(ratio);
         }
 
-        let cost = match &self.opts.cost_model {
-            CostModel::Modeled(p) => {
-                // Count one representative iteration, scale by count.
-                let mut ctx = self.fresh_ctx();
-                let inst = &instances[0];
-                let mut x = inst.working_grid();
-                partial.recurse_step(level, sub_acc, &mut x, &inst.b, &mut ctx);
-                p.time(&ctx.ops) * iterations as f64
-            }
+        let costs = match &self.opts.cost_model {
+            // No iteration was priced only if none ran, and then no
+            // target is feasible.
+            CostModel::Modeled(_) => (iterations.iter())
+                .map(|&it| iter_cost.map_or(f64::INFINITY, |c| c * it as f64))
+                .collect(),
             CostModel::Measured { trials } => {
+                // One timed run per trial up to the longest feasible
+                // count, read off at each target's own count.
                 let inst = &instances[0];
-                let mut best = f64::INFINITY;
+                let longest = (settled.iter().zip(&iterations))
+                    .filter(|(outcome, _)| outcome.is_none())
+                    .map(|(_, &it)| it)
+                    .max()
+                    .unwrap_or(0);
+                let mut best = vec![f64::INFINITY; targets.len()];
                 for _ in 0..(*trials).max(1) {
                     let mut ctx = self.fresh_ctx();
                     let mut x = inst.working_grid();
                     let start = Instant::now();
-                    for _ in 0..iterations {
-                        partial.recurse_step(level, sub_acc, &mut x, &inst.b, &mut ctx);
+                    for it in 1..=longest {
+                        step(&mut x, &inst.b, &mut ctx);
+                        let elapsed = start.elapsed().as_secs_f64();
+                        for (t, &n_it) in best.iter_mut().zip(&iterations) {
+                            if n_it == it {
+                                *t = t.min(elapsed);
+                            }
+                        }
                     }
-                    best = best.min(start.elapsed().as_secs_f64());
                 }
                 best
             }
         };
-        Some(Measured {
-            feasible: true,
-            accuracy: worst_ratio,
-            iterations,
-            cost,
-        })
+        (settled.into_iter().enumerate())
+            .map(|(i, outcome)| {
+                outcome.unwrap_or(Measured {
+                    feasible: true,
+                    accuracy: worst_ratio[i],
+                    iterations: iterations[i],
+                    cost: costs[i],
+                })
+            })
+            .collect()
     }
 
     /// Price a finished plan on a problem (modeled only): one
