@@ -1,10 +1,12 @@
 //! Band-Cholesky benchmarks: factorization scaling (the O(N⁴) entry of
 //! the complexity table) and the factor-cache ablation (DPBSV refactors
-//! every call; our tuned solver caches per grid size).
+//! every call; our tuned solver caches one factor per (grid size,
+//! operator)).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use petamg_grid::Grid2d;
 use petamg_linalg::{assemble_poisson_band, PoissonDirect};
+use petamg_problems::StencilOp;
 use petamg_solvers::{direct_solve_uncached, DirectSolverCache};
 use std::hint::black_box;
 use std::time::Duration;
@@ -51,10 +53,10 @@ fn bench_cache_ablation(c: &mut Criterion) {
     let n = 65;
     let b = Grid2d::from_fn(n, |i, j| ((i * 7 + j * 3) % 23) as f64);
     let cache = DirectSolverCache::new();
-    let _ = cache.get(n); // warm
+    cache.warm_op(n, &StencilOp::Poisson);
     group.bench_function("cached", |bench| {
         let mut x = Grid2d::zeros(n);
-        bench.iter(|| cache.solve(black_box(&mut x), &b));
+        bench.iter(|| cache.solve_op(black_box(&mut x), &b, &StencilOp::Poisson));
     });
     group.bench_function("uncached_dpbsv_style", |bench| {
         let mut x = Grid2d::zeros(n);

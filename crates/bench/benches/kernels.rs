@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use petamg_grid::{interpolate_add, residual, restrict_full_weighting, Exec, Grid2d};
-use petamg_solvers::sor_sweep;
+use petamg_problems::StencilOp;
+use petamg_solvers::sor_sweep_op;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -34,7 +35,8 @@ fn bench_relax(c: &mut Criterion) {
         for (name, exec) in backends() {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |bench, _| {
                 let mut x = x.clone();
-                bench.iter(|| sor_sweep(black_box(&mut x), &b, 1.15, &exec));
+                bench
+                    .iter(|| sor_sweep_op(&StencilOp::Poisson, black_box(&mut x), &b, 1.15, &exec));
             });
         }
     }
@@ -92,7 +94,7 @@ fn bench_grain_ablation(c: &mut Criterion) {
         let exec = Exec::pbrt(2).with_grain(grain);
         group.bench_with_input(BenchmarkId::from_parameter(grain), &grain, |bench, _| {
             let mut x = x.clone();
-            bench.iter(|| sor_sweep(black_box(&mut x), &b, 1.15, &exec));
+            bench.iter(|| sor_sweep_op(&StencilOp::Poisson, black_box(&mut x), &b, 1.15, &exec));
         });
     }
     group.finish();

@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use petamg_core::accuracy::ratio_of_errors;
 use petamg_core::training::{Distribution, ProblemInstance};
 use petamg_grid::{l2_diff, Exec, Grid2d};
-use petamg_solvers::{jacobi_sweep, sor_sweep, DirectSolverCache, MgConfig, ReferenceSolver};
+use petamg_problems::StencilOp;
+use petamg_solvers::{jacobi_sweep_op, sor_sweep_op, DirectSolverCache, MgConfig, ReferenceSolver};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,12 +56,21 @@ fn bench_sor_vs_jacobi(c: &mut Criterion) {
     let exec = Exec::seq();
     group.bench_function("sor_sweep", |bench| {
         let mut x = inst.working_grid();
-        bench.iter(|| sor_sweep(black_box(&mut x), &inst.b, 1.15, &exec));
+        bench.iter(|| sor_sweep_op(&StencilOp::Poisson, black_box(&mut x), &inst.b, 1.15, &exec));
     });
     group.bench_function("jacobi_sweep", |bench| {
         let mut x = inst.working_grid();
         let mut scratch = Grid2d::zeros(x.n());
-        bench.iter(|| jacobi_sweep(black_box(&mut x), &inst.b, 2.0 / 3.0, &mut scratch, &exec));
+        bench.iter(|| {
+            jacobi_sweep_op(
+                &StencilOp::Poisson,
+                black_box(&mut x),
+                &inst.b,
+                2.0 / 3.0,
+                &mut scratch,
+                &exec,
+            )
+        });
     });
     group.finish();
 }

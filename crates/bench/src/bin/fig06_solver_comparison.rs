@@ -13,7 +13,8 @@ use petamg_core::training::{Distribution, ProblemInstance};
 use petamg_core::tuner::{TunerOptions, VTuner};
 use petamg_grid::{l2_diff, Exec};
 use petamg_linalg::PoissonDirect;
-use petamg_solvers::{omega_opt, sor_sweep, DirectSolverCache, MgConfig, ReferenceSolver};
+use petamg_problems::StencilOp;
+use petamg_solvers::{omega_opt, sor_sweep_op, DirectSolverCache, MgConfig, ReferenceSolver};
 use std::sync::Arc;
 
 const DIRECT_MAX_N: usize = 257;
@@ -69,13 +70,13 @@ fn main() {
             let mut sweeps = 0u32;
             let mut x = inst.working_grid();
             while !done(&x) && sweeps < 2_000_000 {
-                sor_sweep(&mut x, &inst.b, omega, &exec);
+                sor_sweep_op(&StencilOp::Poisson, &mut x, &inst.b, omega, &exec);
                 sweeps += 1;
             }
             Some(time_best(1, || {
                 let mut x = inst.working_grid();
                 for _ in 0..sweeps {
-                    sor_sweep(&mut x, &inst.b, omega, &exec);
+                    sor_sweep_op(&StencilOp::Poisson, &mut x, &inst.b, omega, &exec);
                 }
             }))
         } else {
@@ -99,7 +100,7 @@ fn main() {
 
         // Autotuned.
         let acc = tuned.acc_index_for(target);
-        tuned.warm_factors(level, acc, &cache);
+        tuned.warm_factors_for(&inst.problem, level, acc, &cache);
         let auto = time_best(2, || {
             let mut ctx = petamg_core::plan::ExecCtx::with_cache(exec.clone(), Arc::clone(&cache));
             let mut x = inst.working_grid();

@@ -44,7 +44,7 @@ fn main() {
 
         let time_family = |fam: &petamg_core::plan::TunedFamily| {
             let acc = fam.num_accuracies() - 1;
-            fam.warm_factors(level, acc, &cache);
+            fam.warm_factors_for(&inst.problem, level, acc, &cache);
             time_best(2, || {
                 let mut ctx = ExecCtx::with_cache(exec.clone(), Arc::clone(&cache));
                 let mut x = inst.working_grid();
@@ -55,7 +55,7 @@ fn main() {
         let heur_times: Vec<f64> = strategies.iter().map(|(_, f)| time_family(f)).collect();
         let auto_time = {
             let acc = tuned.acc_index_for(1e9);
-            tuned.warm_factors(level, acc, &cache);
+            tuned.warm_factors_for(&inst.problem, level, acc, &cache);
             time_best(2, || {
                 let mut ctx = ExecCtx::with_cache(exec.clone(), Arc::clone(&cache));
                 let mut x = inst.working_grid();

@@ -24,7 +24,7 @@
 //!   residual rows); taller bands share the rolling window, and the
 //!   record carries both the speedup over that baseline and the
 //!   parallel-vs-sequential-fused ratio;
-//! * **temporal-block sweep** — `sor_sweeps_blocked` against the staged
+//! * **temporal-block sweep** — `sor_sweeps_blocked_op` against the staged
 //!   reference for a fixed sweep count, across fused depths.
 //!
 //! Flags / env:
@@ -47,13 +47,16 @@ use petamg_grid::{
     residual_restrict, restrict_full_weighting, size_level, vector_backend, BatchGrid, Exec,
     Grid2d, SimdPolicy, Workspace,
 };
-use petamg_problems::{residual_op, residual_restrict_op, Problem};
-use petamg_solvers::fused::sor_sweeps_blocked;
-use petamg_solvers::relax::{jacobi_sweep, sor_sweeps};
+use petamg_problems::{residual_op, residual_restrict_op, Problem, StencilOp};
+use petamg_solvers::fused::sor_sweeps_blocked_op;
+use petamg_solvers::relax::{jacobi_sweep_op, sor_sweeps_op};
 use petamg_solvers::{DirectSolverCache, MgConfig, ReferenceSolver};
 use serde::Serialize;
 use std::hint::black_box;
 use std::sync::Arc;
+
+/// The operator of every Poisson kernel measured here.
+const POISSON: &StencilOp = &StencilOp::Poisson;
 
 #[derive(Serialize)]
 struct BackendRecord {
@@ -460,13 +463,13 @@ fn bench_tblock_sweep(
 
     // Verify bitwise equality of every depth before timing.
     let mut want = x0.clone();
-    sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
+    sor_sweeps_op(POISSON, &mut want, &b, 1.15, sweeps, &Exec::seq());
     for &depth in depths {
         let mut got = x0.clone();
         let mut left = sweeps;
         while left > 0 {
             let chunk = left.min(depth);
-            sor_sweeps_blocked(&mut got, &b, 1.15, chunk, &ws, exec);
+            sor_sweeps_blocked_op(POISSON, &mut got, &b, 1.15, chunk, &ws, exec);
             left -= chunk;
         }
         assert_eq!(
@@ -479,7 +482,7 @@ fn bench_tblock_sweep(
     let mut x = x0.clone();
     let staged_s = time_best(trials, || {
         for _ in 0..reps {
-            sor_sweeps(black_box(&mut x), &b, 1.15, sweeps, exec);
+            sor_sweeps_op(POISSON, black_box(&mut x), &b, 1.15, sweeps, exec);
         }
     }) / reps as f64;
 
@@ -491,7 +494,7 @@ fn bench_tblock_sweep(
                 let mut left = sweeps;
                 while left > 0 {
                     let chunk = left.min(depth);
-                    sor_sweeps_blocked(black_box(&mut x), &b, 1.15, chunk, &ws, exec);
+                    sor_sweeps_blocked_op(POISSON, black_box(&mut x), &b, 1.15, chunk, &ws, exec);
                     left -= chunk;
                 }
             }
@@ -702,13 +705,13 @@ fn bench_simd_sweep(n: usize, trials: usize, quick: bool) -> Vec<SimdRecord> {
     // sor_sweep (one staged red-black sweep; the stride-2 vector path)
     let mut xs = x.clone();
     let mut xv = x.clone();
-    sor_sweeps(&mut xs, &b, 1.15, 2, &e_s);
-    sor_sweeps(&mut xv, &b, 1.15, 2, &e_v);
+    sor_sweeps_op(POISSON, &mut xs, &b, 1.15, 2, &e_s);
+    sor_sweeps_op(POISSON, &mut xv, &b, 1.15, 2, &e_v);
     assert_eq!(xs.as_slice(), xv.as_slice(), "SOR diverged at n={n}");
     let time_k = |e: &Exec, out: &mut Grid2d| {
         time_best(trials, || {
             for _ in 0..reps {
-                sor_sweeps(black_box(out), &b, 1.15, 1, e);
+                sor_sweeps_op(POISSON, black_box(out), &b, 1.15, 1, e);
             }
         }) / reps as f64
     };
@@ -718,14 +721,14 @@ fn bench_simd_sweep(n: usize, trials: usize, quick: bool) -> Vec<SimdRecord> {
     let mut scratch = Grid2d::zeros(n);
     let mut xs = x.clone();
     let mut xv = x.clone();
-    jacobi_sweep(&mut xs, &b, 0.8, &mut scratch, &e_s);
-    jacobi_sweep(&mut xv, &b, 0.8, &mut scratch, &e_v);
+    jacobi_sweep_op(POISSON, &mut xs, &b, 0.8, &mut scratch, &e_s);
+    jacobi_sweep_op(POISSON, &mut xv, &b, 0.8, &mut scratch, &e_v);
     assert_eq!(xs.as_slice(), xv.as_slice(), "Jacobi diverged at n={n}");
     let time_k = |e: &Exec, out: &mut Grid2d| {
         let mut scratch = Grid2d::zeros(n);
         time_best(trials, || {
             for _ in 0..reps {
-                jacobi_sweep(black_box(out), &b, 0.8, &mut scratch, e);
+                jacobi_sweep_op(POISSON, black_box(out), &b, 0.8, &mut scratch, e);
             }
         }) / reps as f64
     };

@@ -9,7 +9,8 @@ use petamg_core::accuracy::ratio_of_errors;
 use petamg_core::training::{Distribution, ProblemInstance};
 use petamg_grid::{l2_diff, Exec};
 use petamg_linalg::PoissonDirect;
-use petamg_solvers::{omega_opt, sor_sweep, DirectSolverCache, MgConfig, ReferenceSolver};
+use petamg_problems::StencilOp;
+use petamg_solvers::{omega_opt, sor_sweep_op, DirectSolverCache, MgConfig, ReferenceSolver};
 use std::sync::Arc;
 
 fn fit_slope(xs: &[f64], ys: &[f64]) -> f64 {
@@ -57,14 +58,14 @@ fn main() {
         {
             let mut x = inst.working_grid();
             while ratio_of_errors(e0, l2_diff(&x, &x_opt, &exec)) < target && sweeps < 500_000 {
-                sor_sweep(&mut x, &inst.b, omega, &exec);
+                sor_sweep_op(&StencilOp::Poisson, &mut x, &inst.b, omega, &exec);
                 sweeps += 1;
             }
         }
         let t_sor = time_best(2, || {
             let mut x = inst.working_grid();
             for _ in 0..sweeps {
-                sor_sweep(&mut x, &inst.b, omega, &exec);
+                sor_sweep_op(&StencilOp::Poisson, &mut x, &inst.b, omega, &exec);
             }
         });
 

@@ -72,25 +72,13 @@ impl AccuracyReport {
     }
 }
 
-/// Compute the reference ("optimal") solution of `A_h x = b` with the
-/// Dirichlet boundary taken from `x0`.
+/// Compute the reference ("optimal") solution of `A x = b` for the
+/// posed problem's operator, with the Dirichlet boundary taken from
+/// `x0`.
 ///
 /// Small grids (≤ [`DIRECT_REFERENCE_MAX_N`]) use the exact band-Cholesky
-/// solve; larger grids run FMG + V cycles until the residual stalls at
-/// the round-off floor.
-pub fn reference_solution(
-    x0: &Grid2d,
-    b: &Grid2d,
-    exec: &Exec,
-    cache: &Arc<DirectSolverCache>,
-) -> Grid2d {
-    reference_solution_for(&Problem::poisson(), x0, b, exec, cache)
-}
-
-/// [`reference_solution`] for an arbitrary posed problem: the exact
-/// solution of `A x = b` for the problem's operator (banded direct for
-/// small sizes, far-converged operator-aware multigrid above
-/// [`DIRECT_REFERENCE_MAX_N`]).
+/// solve; larger grids run operator-aware FMG + V cycles until the
+/// residual stalls at the round-off floor.
 pub fn reference_solution_for(
     problem: &Problem,
     x0: &Grid2d,
@@ -137,6 +125,7 @@ pub fn reference_solution_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use petamg_problems::StencilOp;
 
     fn problem(n: usize) -> (Grid2d, Grid2d) {
         let mut x0 = Grid2d::zeros(n);
@@ -160,11 +149,11 @@ mod tests {
         let (x0, b) = problem(17);
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution(&x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
 
         // A poor solve: one SOR sweep. A good solve: five V cycles.
         let mut x_poor = x0.clone();
-        petamg_solvers::sor_sweep(&mut x_poor, &b, 1.15, &exec);
+        petamg_solvers::sor_sweep_op(&StencilOp::Poisson, &mut x_poor, &b, 1.15, &exec);
         let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(&cache));
         let mut x_good = x0.clone();
         for _ in 0..5 {
@@ -184,11 +173,11 @@ mod tests {
         let (x0, b) = problem(9);
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution(&x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
         // Solving with the same direct solver gives x == x_opt bitwise.
         let mut x = x0.clone();
         x.zero_interior();
-        cache.get(9).solve(&mut x, &b);
+        cache.solve_op(&mut x, &b, &StencilOp::Poisson);
         assert_eq!(error_ratio(&x0, &x, &x_opt, &exec), ACC_CAP);
     }
 
@@ -197,7 +186,7 @@ mod tests {
         let (x0, b) = problem(257); // above DIRECT_REFERENCE_MAX_N
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let x_opt = reference_solution(&x0, &b, &exec, &cache);
+        let x_opt = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
         let mut r = Grid2d::zeros(257);
         petamg_grid::residual(&x_opt, &b, &mut r, &exec);
         let rel = l2_norm_interior(&r, &exec) / l2_norm_interior(&b, &exec);
@@ -212,7 +201,7 @@ mod tests {
         let (x0, b) = problem(65);
         let exec = Exec::seq();
         let cache = Arc::new(DirectSolverCache::new());
-        let direct = reference_solution(&x0, &b, &exec, &cache);
+        let direct = reference_solution_for(&Problem::poisson(), &x0, &b, &exec, &cache);
 
         let solver = ReferenceSolver::with_cache(MgConfig::default(), Arc::clone(&cache));
         let mut mg = x0.clone();

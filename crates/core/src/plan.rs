@@ -777,12 +777,6 @@ impl TunedFamily {
         }
     }
 
-    /// Pre-factor every grid size this plan's direct solves touch
-    /// (constant-coefficient Poisson).
-    pub fn warm_factors(&self, level: usize, acc_idx: usize, cache: &Arc<DirectSolverCache>) {
-        self.warm_factors_for(&Problem::poisson(), level, acc_idx, cache);
-    }
-
     /// Pre-factor every `(grid size, operator)` this plan's direct
     /// solves touch for the posed problem.
     pub fn warm_factors_for(

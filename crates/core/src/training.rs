@@ -167,19 +167,9 @@ impl ProblemInstance {
     }
 }
 
-/// Generate a deterministic training set: `count` instances at `level`.
-pub fn training_set(
-    level: usize,
-    dist: Distribution,
-    count: usize,
-    seed: u64,
-) -> Vec<ProblemInstance> {
-    training_set_for(&Problem::poisson(), level, dist, count, seed)
-}
-
-/// Generate a deterministic training set for an arbitrary posed
-/// problem: same data as [`training_set`] for the same
-/// `(level, dist, count, seed)`, with the operator attached.
+/// Generate a deterministic training set: `count` instances of the
+/// posed problem at `level`. The data depends only on
+/// `(level, dist, count, seed)`, not on the operator.
 pub fn training_set_for(
     problem: &Problem,
     level: usize,
@@ -258,7 +248,7 @@ mod tests {
 
     #[test]
     fn training_set_instances_differ() {
-        let set = training_set(3, Distribution::UnbiasedUniform, 3, 42);
+        let set = training_set_for(&Problem::poisson(), 3, Distribution::UnbiasedUniform, 3, 42);
         assert_eq!(set.len(), 3);
         assert!(l2_diff(&set[0].b, &set[1].b, &Exec::seq()) > 0.0);
         assert!(l2_diff(&set[1].b, &set[2].b, &Exec::seq()) > 0.0);

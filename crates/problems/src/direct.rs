@@ -170,18 +170,19 @@ mod tests {
 
     #[test]
     fn poisson_solve_bitwise_matches_legacy_direct() {
-        let n = 9;
-        let mut x = Grid2d::zeros(n);
-        x.set_boundary(|i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
-        let b = Grid2d::from_fn(n, |i, j| ((i * 7 + j * 3) % 23) as f64 * 10.0 - 100.0);
+        for n in [3usize, 5, 9, 17, 33, 65] {
+            let mut x = Grid2d::zeros(n);
+            x.set_boundary(|i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
+            let b = Grid2d::from_fn(n, |i, j| ((i * 7 + j * 3) % 23) as f64 * 10.0 - 100.0);
 
-        let mut x_legacy = x.clone();
-        PoissonDirect::new(n).unwrap().solve(&mut x_legacy, &b);
-        let mut x_op = x.clone();
-        OpDirect::new(StencilOp::Poisson, n)
-            .unwrap()
-            .solve(&mut x_op, &b);
-        assert_eq!(x_op.as_slice(), x_legacy.as_slice());
+            let mut x_legacy = x.clone();
+            PoissonDirect::new(n).unwrap().solve(&mut x_legacy, &b);
+            let mut x_op = x.clone();
+            OpDirect::new(StencilOp::Poisson, n)
+                .unwrap()
+                .solve(&mut x_op, &b);
+            assert_eq!(x_op.as_slice(), x_legacy.as_slice(), "n={n}");
+        }
     }
 
     #[test]

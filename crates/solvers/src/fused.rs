@@ -6,15 +6,18 @@
 //! times per cycle while each traversal does only a handful of flops
 //! per value. This module collapses those traversals:
 //!
-//! * [`sor_sweeps_blocked`] runs `d` full sweeps (`2d` half-sweeps) in
-//!   **one traversal** using a wavefront of lagged rows;
-//! * [`relax_residual_restrict`] additionally chains the fused
+//! * [`sor_sweeps_blocked_op`] runs `d` full sweeps (`2d` half-sweeps)
+//!   in **one traversal** using a wavefront of lagged rows;
+//! * [`relax_residual_restrict_op`] additionally chains the fused
 //!   residual + full-weighting restriction behind the wavefront (the
 //!   pre-relaxation edge of a V cycle, `RECURSE` lines 4–5 of the
 //!   paper);
-//! * [`interpolate_correct_relax`] runs the interpolation correction in
-//!   front of the wavefront (the post-relaxation edge, `RECURSE` lines
-//!   7–8).
+//! * [`interpolate_correct_relax_op`] runs the interpolation correction
+//!   in front of the wavefront (the post-relaxation edge, `RECURSE`
+//!   lines 7–8).
+//!
+//! Every kernel takes the operator as a [`StencilOp`]; the paper's
+//! Poisson problem is [`StencilOp::Poisson`].
 //!
 //! ## The wavefront
 //!
@@ -28,13 +31,13 @@
 //! ```
 //!
 //! Each row update is the *same* row body as the staged reference
-//! ([`sor_half_sweep`](crate::relax::sor_half_sweep) shares it), reads
+//! ([`sor_half_sweep_op`](crate::relax::sor_half_sweep_op) shares it), reads
 //! the same values in the same state, and therefore produces **bitwise
 //! identical** results — property-tested in this crate under every
 //! [`Exec`] backend. The residual hook trails the last half-sweep by
 //! one more row (its three-row stencil needs fully relaxed neighbors),
 //! streaming rows into the same rolling three-row window the fused
-//! [`petamg_grid::residual_restrict`] uses.
+//! [`residual_restrict_op`] uses.
 //!
 //! ## Parallel execution: overlapped bands
 //!
@@ -182,12 +185,12 @@ impl BandScratch {
     }
 }
 
-/// `sweeps` Red-Black SOR sweeps for `A_h x = b`, temporally blocked:
+/// `sweeps` Red-Black SOR sweeps of operator `op`, temporally blocked:
 /// all `2·sweeps` half-sweeps advance together in one wavefront
 /// traversal instead of `2·sweeps` separate passes over the grid.
 ///
 /// Bitwise identical to the staged reference
-/// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
+/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) under every [`Exec`]
 /// policy. Sequentially the wavefront runs in place; parallel backends
 /// snapshot `x` into `ws` and run overlapped bands (see the module
 /// docs), so all scratch is workspace-leased and steady-state calls
@@ -195,35 +198,18 @@ impl BandScratch {
 ///
 /// ```
 /// use petamg_grid::{Exec, Grid2d, Workspace};
-/// use petamg_solvers::{relax::sor_sweeps, fused::sor_sweeps_blocked};
+/// use petamg_problems::StencilOp;
+/// use petamg_solvers::{fused::sor_sweeps_blocked_op, relax::sor_sweeps_op};
 ///
+/// let op = StencilOp::Poisson;
 /// let b = Grid2d::from_fn(9, |i, j| (i + j) as f64);
 /// let mut blocked = Grid2d::zeros(9);
 /// let mut staged = blocked.clone();
 /// let ws = Workspace::new();
-/// sor_sweeps_blocked(&mut blocked, &b, 1.15, 3, &ws, &Exec::seq());
-/// sor_sweeps(&mut staged, &b, 1.15, 3, &Exec::seq());
+/// sor_sweeps_blocked_op(&op, &mut blocked, &b, 1.15, 3, &ws, &Exec::seq());
+/// sor_sweeps_op(&op, &mut staged, &b, 1.15, 3, &Exec::seq());
 /// assert_eq!(blocked.as_slice(), staged.as_slice());
 /// ```
-///
-/// # Panics
-/// Panics if grid sizes differ.
-pub fn sor_sweeps_blocked(
-    x: &mut Grid2d,
-    b: &Grid2d,
-    omega: f64,
-    sweeps: usize,
-    ws: &Workspace,
-    exec: &Exec,
-) {
-    sor_sweeps_blocked_op(&StencilOp::Poisson, x, b, omega, sweeps, ws, exec);
-}
-
-/// [`sor_sweeps_blocked`] for an arbitrary operator: `sweeps` Red-Black
-/// SOR sweeps of `op`, temporally blocked into one wavefront traversal.
-/// Bitwise identical to the staged
-/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) under every [`Exec`]
-/// policy; with [`StencilOp::Poisson`] it *is* [`sor_sweeps_blocked`].
 ///
 /// # Panics
 /// Panics if grid sizes differ or the operator is bound to another
@@ -298,39 +284,17 @@ pub fn sor_sweeps_blocked_op(
     }
 }
 
-/// The fused pre-relaxation cycle edge: `sweeps` SOR sweeps on
-/// `A_h x = b` **and** the fused residual + full-weighting restriction
-/// into `coarse`, all in one wavefront traversal — the residual stage
-/// trails the last half-sweep by one row, feeding the same rolling
-/// three-row window as [`petamg_grid::residual_restrict`].
+/// The fused pre-relaxation cycle edge of operator `op`: `sweeps` SOR
+/// sweeps on `A x = b` **and** the fused residual + full-weighting
+/// restriction into `coarse`, all in one wavefront traversal — the
+/// residual stage trails the last half-sweep by one row, feeding the
+/// same rolling three-row window as [`residual_restrict_op`].
 ///
-/// Bitwise identical to
-/// [`sor_sweeps`](crate::relax::sor_sweeps) followed by
-/// [`petamg_grid::residual_restrict`] under every [`Exec`] policy; with
-/// `sweeps == 0` it *is* [`petamg_grid::residual_restrict`]. Parallel backends run
-/// overlapped bands of coarse rows (each band owns the fine rows under
-/// its coarse rows and recomputes halo rows privately).
-///
-/// # Panics
-/// Panics if sizes differ or are not a coarse/fine pair.
-pub fn relax_residual_restrict(
-    x: &mut Grid2d,
-    b: &Grid2d,
-    coarse: &mut Grid2d,
-    omega: f64,
-    sweeps: usize,
-    ws: &Workspace,
-    exec: &Exec,
-) {
-    relax_residual_restrict_op(&StencilOp::Poisson, x, b, coarse, omega, sweeps, ws, exec);
-}
-
-/// [`relax_residual_restrict`] for an arbitrary operator: the fused
-/// pre-relaxation cycle edge of `op`. Bitwise identical to
-/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) followed by
-/// [`residual_restrict_op`] under every [`Exec`] policy; with
-/// `sweeps == 0` it *is* [`residual_restrict_op`], and with
-/// [`StencilOp::Poisson`] it *is* [`relax_residual_restrict`].
+/// Bitwise identical to [`sor_sweeps_op`](crate::relax::sor_sweeps_op)
+/// followed by [`residual_restrict_op`] under every [`Exec`] policy;
+/// with `sweeps == 0` it *is* [`residual_restrict_op`]. Parallel
+/// backends run overlapped bands of coarse rows (each band owns the
+/// fine rows under its coarse rows and recomputes halo rows privately).
 ///
 /// # Panics
 /// Panics if sizes differ, are not a coarse/fine pair, or the operator
@@ -477,34 +441,15 @@ pub fn relax_residual_restrict_op(
     zero_boundary_ring(coarse);
 }
 
-/// The fused post-relaxation cycle edge: add the bilinear interpolation
-/// of `coarse` into `x` (`x += P e`) **and** run `sweeps` SOR sweeps on
-/// `A_h x = b`, in one wavefront traversal — the correction stage leads
-/// and the half-sweeps trail it row by row.
+/// The fused post-relaxation cycle edge of operator `op`: add the
+/// bilinear interpolation of `coarse` into `x` (`x += P e`) **and** run
+/// `sweeps` SOR sweeps on `A x = b`, in one wavefront traversal — the
+/// correction stage leads and the half-sweeps trail it row by row. The
+/// interpolation itself is operator-independent.
 ///
 /// Bitwise identical to [`interpolate_correct`] followed by
-/// [`sor_sweeps`](crate::relax::sor_sweeps) under every [`Exec`]
+/// [`sor_sweeps_op`](crate::relax::sor_sweeps_op) under every [`Exec`]
 /// policy; with `sweeps == 0` it *is* [`interpolate_correct`].
-///
-/// # Panics
-/// Panics if sizes differ or are not a coarse/fine pair.
-pub fn interpolate_correct_relax(
-    coarse: &Grid2d,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    omega: f64,
-    sweeps: usize,
-    ws: &Workspace,
-    exec: &Exec,
-) {
-    interpolate_correct_relax_op(&StencilOp::Poisson, coarse, x, b, omega, sweeps, ws, exec);
-}
-
-/// [`interpolate_correct_relax`] for an arbitrary operator: the fused
-/// post-relaxation cycle edge of `op` (the interpolation itself is
-/// operator-independent; the trailing half-sweeps relax `A x = b` for
-/// `op`). With [`StencilOp::Poisson`] it *is*
-/// [`interpolate_correct_relax`], bit for bit.
 ///
 /// # Panics
 /// Panics if sizes differ, are not a coarse/fine pair, or the operator
@@ -626,8 +571,10 @@ pub fn interpolate_correct_relax_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relax::{sor_sweep, sor_sweeps};
+    use crate::relax::{sor_sweep_op, sor_sweeps_op};
     use petamg_grid::{residual_restrict, restrict_full_weighting};
+
+    const POISSON: &StencilOp = &StencilOp::Poisson;
 
     fn test_problem(n: usize) -> (Grid2d, Grid2d) {
         let mut x = Grid2d::from_fn(n, |i, j| ((i * 31 + j * 17) % 103) as f64 / 7.0 - 5.0);
@@ -653,10 +600,10 @@ mod tests {
             for sweeps in [1usize, 2, 3] {
                 let (x0, b) = test_problem(n);
                 let mut want = x0.clone();
-                sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
+                sor_sweeps_op(POISSON, &mut want, &b, 1.15, sweeps, &Exec::seq());
                 for exec in backends() {
                     let mut got = x0.clone();
-                    sor_sweeps_blocked(&mut got, &b, 1.15, sweeps, &ws, &exec);
+                    sor_sweeps_blocked_op(POISSON, &mut got, &b, 1.15, sweeps, &ws, &exec);
                     assert_eq!(
                         got.as_slice(),
                         want.as_slice(),
@@ -672,7 +619,7 @@ mod tests {
         let ws = Workspace::new();
         let (x0, b) = test_problem(9);
         let mut x = x0.clone();
-        sor_sweeps_blocked(&mut x, &b, 1.15, 0, &ws, &Exec::seq());
+        sor_sweeps_blocked_op(POISSON, &mut x, &b, 1.15, 0, &ws, &Exec::seq());
         assert_eq!(x.as_slice(), x0.as_slice());
     }
 
@@ -684,14 +631,16 @@ mod tests {
             for sweeps in [0usize, 1, 2] {
                 let (x0, b) = test_problem(n);
                 let mut x_want = x0.clone();
-                sor_sweeps(&mut x_want, &b, 1.15, sweeps, &Exec::seq());
+                sor_sweeps_op(POISSON, &mut x_want, &b, 1.15, sweeps, &Exec::seq());
                 let mut c_want = Grid2d::zeros(nc);
                 residual_restrict(&x_want, &b, &mut c_want, &ws, &Exec::seq());
 
                 for exec in backends() {
                     let mut x_got = x0.clone();
                     let mut c_got = Grid2d::from_fn(nc, |_, _| 42.0);
-                    relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &exec);
+                    relax_residual_restrict_op(
+                        POISSON, &mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &exec,
+                    );
                     assert_eq!(
                         x_got.as_slice(),
                         x_want.as_slice(),
@@ -723,11 +672,12 @@ mod tests {
                 let (x0, b) = test_problem(n);
                 let mut x_want = x0.clone();
                 interpolate_correct(&correction, &mut x_want, &Exec::seq());
-                sor_sweeps(&mut x_want, &b, 1.15, sweeps, &Exec::seq());
+                sor_sweeps_op(POISSON, &mut x_want, &b, 1.15, sweeps, &Exec::seq());
 
                 for exec in backends() {
                     let mut x_got = x0.clone();
-                    interpolate_correct_relax(
+                    interpolate_correct_relax_op(
+                        POISSON,
                         &correction,
                         &mut x_got,
                         &b,
@@ -755,7 +705,7 @@ mod tests {
         let nc = coarse_size(n);
         let (x0, b) = test_problem(n);
         let mut x_ref = x0.clone();
-        sor_sweep(&mut x_ref, &b, 1.15, &Exec::seq());
+        sor_sweep_op(POISSON, &mut x_ref, &b, 1.15, &Exec::seq());
         let mut r = Grid2d::zeros(n);
         petamg_grid::residual(&x_ref, &b, &mut r, &Exec::seq());
         let mut c_ref = Grid2d::zeros(nc);
@@ -763,7 +713,7 @@ mod tests {
 
         let mut x = x0.clone();
         let mut c = Grid2d::zeros(nc);
-        relax_residual_restrict(&mut x, &b, &mut c, 1.15, 1, &ws, &Exec::seq());
+        relax_residual_restrict_op(POISSON, &mut x, &b, &mut c, 1.15, 1, &ws, &Exec::seq());
         assert_eq!(x.as_slice(), x_ref.as_slice());
         assert_eq!(c.as_slice(), c_ref.as_slice());
     }
@@ -774,7 +724,7 @@ mod tests {
         let (x0, b) = test_problem(17);
         for exec in backends() {
             let mut x = x0.clone();
-            sor_sweeps_blocked(&mut x, &b, 1.3, 2, &ws, &exec);
+            sor_sweeps_blocked_op(POISSON, &mut x, &b, 1.3, 2, &ws, &exec);
             for k in 0..17 {
                 for edge in [0usize, 16] {
                     assert_eq!(x.at(edge, k), x0.at(edge, k), "{exec:?}");
@@ -790,10 +740,10 @@ mod tests {
         let (x0, b) = test_problem(33);
         for exec in [Exec::seq(), Exec::pbrt(2).with_band(4)] {
             let mut x = x0.clone();
-            sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
+            sor_sweeps_blocked_op(POISSON, &mut x, &b, 1.15, 2, &ws, &exec);
             let warm = ws.stats().allocations;
             for _ in 0..5 {
-                sor_sweeps_blocked(&mut x, &b, 1.15, 2, &ws, &exec);
+                sor_sweeps_blocked_op(POISSON, &mut x, &b, 1.15, 2, &ws, &exec);
             }
             if exec.is_seq() {
                 assert_eq!(

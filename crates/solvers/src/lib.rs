@@ -13,6 +13,13 @@
 //!   cycle of Fig 3 ("Reference Full MG"),
 //! * W-cycles via the `gamma` parameter.
 //!
+//! Every relaxation kernel, fused cycle edge and direct solve takes the
+//! operator as a [`StencilOp`](petamg_problems::StencilOp) — one API for
+//! all operator families, with the paper's Poisson problem passed as
+//! [`StencilOp::Poisson`](petamg_problems::StencilOp::Poisson) (e.g.
+//! [`sor_sweep_op`], [`relax_residual_restrict_op`],
+//! [`DirectSolverCache::solve_op`]).
+//!
 //! Everything is `Exec`-parameterized (sequential / work-stealing pool /
 //! rayon) and deterministic for a fixed policy.
 
@@ -33,13 +40,7 @@ pub use batch::{
     batch_residual_restrict_op, batch_sor_half_sweep_op, batch_sor_sweep_op, batch_sor_sweeps_op,
 };
 pub use direct::{direct_solve_uncached, DirectSolverCache, DEFAULT_FACTOR_CAPACITY};
-pub use fused::{
-    interpolate_correct_relax, interpolate_correct_relax_op, relax_residual_restrict,
-    relax_residual_restrict_op, sor_sweeps_blocked, sor_sweeps_blocked_op,
-};
+pub use fused::{interpolate_correct_relax_op, relax_residual_restrict_op, sor_sweeps_blocked_op};
 pub use guard::{GuardConfig, GuardFailure, GuardVerdict, SolveGuard, SolveStatus};
 pub use multigrid::{MgConfig, ReferenceSolver};
-pub use relax::{
-    gauss_seidel_sweep, jacobi_sweep, jacobi_sweep_op, omega_opt, sor_sweep, sor_sweep_op,
-    sor_sweeps, sor_sweeps_op,
-};
+pub use relax::{jacobi_sweep_op, omega_opt, sor_sweep_op, sor_sweeps_op};

@@ -3,12 +3,17 @@
 //! must be **bitwise identical** to its staged reference composition on
 //! the sequential, pooled, and rayon backends.
 
-use crate::fused::{interpolate_correct_relax, relax_residual_restrict, sor_sweeps_blocked};
-use crate::relax::sor_sweeps;
+use crate::fused::{
+    interpolate_correct_relax_op, relax_residual_restrict_op, sor_sweeps_blocked_op,
+};
+use crate::relax::sor_sweeps_op;
 use petamg_grid::{
     coarse_size, interpolate_correct, residual_restrict, Exec, Grid2d, SimdPolicy, Workspace,
 };
+use petamg_problems::StencilOp;
 use proptest::prelude::*;
+
+const POISSON: &StencilOp = &StencilOp::Poisson;
 
 /// Strategy: an arbitrary full grid (boundary included).
 fn any_grid(n: usize, scale: f64) -> impl Strategy<Value = Grid2d> {
@@ -46,10 +51,10 @@ proptest! {
     ) {
         let ws = Workspace::new();
         let mut want = x.clone();
-        sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
+        sor_sweeps_op(POISSON, &mut want, &b, 1.15, sweeps, &Exec::seq());
         for exec in backends(band) {
             let mut got = x.clone();
-            sor_sweeps_blocked(&mut got, &b, 1.15, sweeps, &ws, &exec);
+            sor_sweeps_blocked_op(POISSON, &mut got, &b, 1.15, sweeps, &ws, &exec);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }
@@ -66,14 +71,16 @@ proptest! {
         let ws = Workspace::new();
         let nc = coarse_size(17);
         let mut x_want = x.clone();
-        sor_sweeps(&mut x_want, &b, 1.15, sweeps, &Exec::seq());
+        sor_sweeps_op(POISSON, &mut x_want, &b, 1.15, sweeps, &Exec::seq());
         let mut c_want = Grid2d::zeros(nc);
         residual_restrict(&x_want, &b, &mut c_want, &ws, &Exec::seq());
 
         for exec in backends(band) {
             let mut x_got = x.clone();
             let mut c_got = Grid2d::zeros(nc);
-            relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &exec);
+            relax_residual_restrict_op(
+                POISSON, &mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &exec,
+            );
             prop_assert_eq!(x_got.as_slice(), x_want.as_slice());
             prop_assert_eq!(c_got.as_slice(), c_want.as_slice());
         }
@@ -92,11 +99,11 @@ proptest! {
         let ws = Workspace::new();
         let mut want = x.clone();
         interpolate_correct(&e, &mut want, &Exec::seq());
-        sor_sweeps(&mut want, &b, 1.15, sweeps, &Exec::seq());
+        sor_sweeps_op(POISSON, &mut want, &b, 1.15, sweeps, &Exec::seq());
 
         for exec in backends(band) {
             let mut got = x.clone();
-            interpolate_correct_relax(&e, &mut got, &b, 1.15, sweeps, &ws, &exec);
+            interpolate_correct_relax_op(POISSON, &e, &mut got, &b, 1.15, sweeps, &ws, &exec);
             prop_assert_eq!(got.as_slice(), want.as_slice());
         }
     }
@@ -123,15 +130,15 @@ proptest! {
         let e_v = Exec::seq().with_simd(SimdPolicy::Vector);
         let mut x_s = x0.clone();
         let mut x_v = x0.clone();
-        sor_sweeps(&mut x_s, &b, omega, sweeps, &e_s);
-        sor_sweeps(&mut x_v, &b, omega, sweeps, &e_v);
+        sor_sweeps_op(POISSON, &mut x_s, &b, omega, sweeps, &e_s);
+        sor_sweeps_op(POISSON, &mut x_v, &b, omega, sweeps, &e_v);
         prop_assert_eq!(x_s.as_slice(), x_v.as_slice());
 
         // The wavefront-blocked kernel shares the same row body; the
         // mode must not break its bitwise equality either.
         let ws = Workspace::new();
         let mut x_bv = x0.clone();
-        sor_sweeps_blocked(&mut x_bv, &b, omega, sweeps, &ws, &e_v);
+        sor_sweeps_blocked_op(POISSON, &mut x_bv, &b, omega, sweeps, &ws, &e_v);
         prop_assert_eq!(x_s.as_slice(), x_bv.as_slice());
     }
 
@@ -150,9 +157,9 @@ proptest! {
         let mut scratch = Grid2d::zeros(n);
         let mut x_s = x0.clone();
         let mut x_v = x0.clone();
-        crate::relax::jacobi_sweep(&mut x_s, &b, omega, &mut scratch,
+        crate::relax::jacobi_sweep_op(POISSON, &mut x_s, &b, omega, &mut scratch,
             &Exec::seq().with_simd(SimdPolicy::Scalar));
-        crate::relax::jacobi_sweep(&mut x_v, &b, omega, &mut scratch,
+        crate::relax::jacobi_sweep_op(POISSON, &mut x_v, &b, omega, &mut scratch,
             &Exec::seq().with_simd(SimdPolicy::Vector));
         prop_assert_eq!(x_s.as_slice(), x_v.as_slice());
     }
@@ -174,20 +181,22 @@ proptest! {
 
         let mut x_want = x.clone();
         let mut c_want = Grid2d::zeros(nc);
-        relax_residual_restrict(&mut x_want, &b, &mut c_want, 1.15, sweeps, &ws, &e_s);
+        relax_residual_restrict_op(POISSON, &mut x_want, &b, &mut c_want, 1.15, sweeps, &ws, &e_s);
         let mut x2_want = x.clone();
-        interpolate_correct_relax(&c, &mut x2_want, &b, 1.15, sweeps, &ws, &e_s);
+        interpolate_correct_relax_op(POISSON, &c, &mut x2_want, &b, 1.15, sweeps, &ws, &e_s);
 
         for exec in backends(band) {
             let e_v = exec.with_simd(SimdPolicy::Vector);
             let mut x_got = x.clone();
             let mut c_got = Grid2d::zeros(nc);
-            relax_residual_restrict(&mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &e_v);
+            relax_residual_restrict_op(
+                POISSON, &mut x_got, &b, &mut c_got, 1.15, sweeps, &ws, &e_v,
+            );
             prop_assert_eq!(x_got.as_slice(), x_want.as_slice());
             prop_assert_eq!(c_got.as_slice(), c_want.as_slice());
 
             let mut x2_got = x.clone();
-            interpolate_correct_relax(&c, &mut x2_got, &b, 1.15, sweeps, &ws, &e_v);
+            interpolate_correct_relax_op(POISSON, &c, &mut x2_got, &b, 1.15, sweeps, &ws, &e_v);
             prop_assert_eq!(x2_got.as_slice(), x2_want.as_slice());
         }
     }

@@ -26,17 +26,9 @@ pub fn omega_opt(n: usize) -> f64 {
 }
 
 /// One Red-Black SOR sweep (red half-sweep then black half-sweep) for
-/// `A_h x = b`: `x_ij ← (1-ω)·x_ij + ω·(Σ neighbors + h²·b_ij)/4`.
-///
-/// # Panics
-/// Panics if grid sizes differ.
-pub fn sor_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, exec: &Exec) {
-    sor_sweep_op(&StencilOp::Poisson, x, b, omega, exec);
-}
-
-/// One Red-Black SOR sweep for operator `op` (`A x = b`): the
-/// operator-family generalization of [`sor_sweep`]. With
-/// [`StencilOp::Poisson`] it *is* [`sor_sweep`], bit for bit.
+/// `A x = b` with operator `op`. For [`StencilOp::Poisson`] this is
+/// `x_ij ← (1-ω)·x_ij + ω·(Σ neighbors + h²·b_ij)/4`; the other
+/// operators weight the neighbors and divide by their own diagonal.
 ///
 /// # Panics
 /// Panics if grid sizes differ or the operator is bound to another
@@ -47,12 +39,8 @@ pub fn sor_sweep_op(op: &StencilOp, x: &mut Grid2d, b: &Grid2d, omega: f64, exec
     sor_half_sweep_op(op, x, b, omega, 1, exec); // black
 }
 
-/// One half-sweep updating only cells of `color` (`(i+j) % 2 == color`).
-pub fn sor_half_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, color: usize, exec: &Exec) {
-    sor_half_sweep_op(&StencilOp::Poisson, x, b, omega, color, exec);
-}
-
-/// One half-sweep of operator `op` updating only cells of `color`.
+/// One half-sweep of operator `op` updating only cells of `color`
+/// (`(i+j) % 2 == color`).
 ///
 /// Each row runs through [`StencilOp::sor_row_update`] — **the** SOR
 /// row body shared with the temporally blocked wavefront kernels in
@@ -102,16 +90,9 @@ pub fn sor_half_sweep_op(
     });
 }
 
-/// `sweeps` Red-Black SOR sweeps in the staged reference order: the
-/// behavioural baseline the temporally blocked
-/// [`crate::fused::sor_sweeps_blocked`] is property-tested against.
-pub fn sor_sweeps(x: &mut Grid2d, b: &Grid2d, omega: f64, sweeps: usize, exec: &Exec) {
-    for _ in 0..sweeps {
-        sor_sweep(x, b, omega, exec);
-    }
-}
-
-/// `sweeps` staged Red-Black SOR sweeps of operator `op`.
+/// `sweeps` Red-Black SOR sweeps of operator `op` in the staged
+/// reference order: the behavioural baseline the temporally blocked
+/// [`crate::fused::sor_sweeps_blocked_op`] is property-tested against.
 pub fn sor_sweeps_op(
     op: &StencilOp,
     x: &mut Grid2d,
@@ -125,18 +106,9 @@ pub fn sor_sweeps_op(
     }
 }
 
-/// One weighted-Jacobi sweep: `x ← (1-ω)·x + ω·D⁻¹(b + offdiag)` using
-/// `scratch` for the previous iterate (sizes must match; `scratch`
-/// contents are overwritten).
-///
-/// # Panics
-/// Panics if grid sizes differ.
-pub fn jacobi_sweep(x: &mut Grid2d, b: &Grid2d, omega: f64, scratch: &mut Grid2d, exec: &Exec) {
-    jacobi_sweep_op(&StencilOp::Poisson, x, b, omega, scratch, exec);
-}
-
-/// One weighted-Jacobi sweep of operator `op`; with
-/// [`StencilOp::Poisson`] it *is* [`jacobi_sweep`], bit for bit.
+/// One weighted-Jacobi sweep of operator `op`:
+/// `x ← (1-ω)·x + ω·D⁻¹(b + offdiag)` using `scratch` for the previous
+/// iterate (sizes must match; `scratch` contents are overwritten).
 ///
 /// # Panics
 /// Panics if grid sizes differ or the operator is bound to another
@@ -177,16 +149,13 @@ pub fn jacobi_sweep_op(
     });
 }
 
-/// Gauss-Seidel (red-black order) — SOR with ω = 1.
-pub fn gauss_seidel_sweep(x: &mut Grid2d, b: &Grid2d, exec: &Exec) {
-    sor_sweep(x, b, 1.0, exec);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use petamg_grid::{l2_diff, l2_norm_interior, residual};
     use petamg_linalg::PoissonDirect;
+
+    const POISSON: &StencilOp = &StencilOp::Poisson;
 
     fn test_problem(n: usize) -> (Grid2d, Grid2d, Grid2d) {
         // (x0, b, x_opt): random-ish boundary + rhs, exact solution by
@@ -217,7 +186,7 @@ mod tests {
         let e = Exec::seq();
         let mut prev = l2_diff(&x, &x_opt, &e);
         for _ in 0..30 {
-            sor_sweep(&mut x, &b, omega_opt(17), &e);
+            sor_sweep_op(POISSON, &mut x, &b, omega_opt(17), &e);
             let now = l2_diff(&x, &x_opt, &e);
             assert!(now <= prev * 1.0001, "error grew: {prev} -> {now}");
             prev = now;
@@ -230,7 +199,7 @@ mod tests {
         let (mut x, b, x_opt) = test_problem(9);
         let e = Exec::seq();
         for _ in 0..500 {
-            sor_sweep(&mut x, &b, omega_opt(9), &e);
+            sor_sweep_op(POISSON, &mut x, &b, omega_opt(9), &e);
         }
         assert!(l2_diff(&x, &x_opt, &e) < 1e-10 * l2_norm_interior(&x_opt, &e).max(1.0));
     }
@@ -240,10 +209,10 @@ mod tests {
         let (_, b, x_opt) = test_problem(17);
         let e = Exec::seq();
         let mut x = x_opt.clone();
-        sor_sweep(&mut x, &b, 1.3, &e);
+        sor_sweep_op(POISSON, &mut x, &b, 1.3, &e);
         assert!(l2_diff(&x, &x_opt, &e) < 1e-9);
         let mut scratch = Grid2d::zeros(17);
-        jacobi_sweep(&mut x, &b, 0.8, &mut scratch, &e);
+        jacobi_sweep_op(POISSON, &mut x, &b, 0.8, &mut scratch, &e);
         assert!(l2_diff(&x, &x_opt, &e) < 1e-9);
     }
 
@@ -252,12 +221,12 @@ mod tests {
         let (x0, b, _) = test_problem(33);
         let mut x_seq = x0.clone();
         for _ in 0..3 {
-            sor_sweep(&mut x_seq, &b, 1.15, &Exec::seq());
+            sor_sweep_op(POISSON, &mut x_seq, &b, 1.15, &Exec::seq());
         }
         for exec in [Exec::pbrt(2).with_grain(2), Exec::rayon().with_grain(2)] {
             let mut x_par = x0.clone();
             for _ in 0..3 {
-                sor_sweep(&mut x_par, &b, 1.15, &exec);
+                sor_sweep_op(POISSON, &mut x_par, &b, 1.15, &exec);
             }
             assert_eq!(x_seq.as_slice(), x_par.as_slice(), "{exec:?}");
         }
@@ -267,14 +236,14 @@ mod tests {
     fn red_pass_only_touches_red_cells() {
         let (x0, b, _) = test_problem(9);
         let mut x = x0.clone();
-        sor_half_sweep(&mut x, &b, 1.15, 0, &Exec::seq());
+        sor_half_sweep_op(POISSON, &mut x, &b, 1.15, 0, &Exec::seq());
         for (i, j) in x0.interior() {
             if (i + j) % 2 == 1 {
                 assert_eq!(x.at(i, j), x0.at(i, j), "black cell ({i},{j}) changed");
             }
         }
         let mut x2 = x0.clone();
-        sor_half_sweep(&mut x2, &b, 1.15, 1, &Exec::seq());
+        sor_half_sweep_op(POISSON, &mut x2, &b, 1.15, 1, &Exec::seq());
         for (i, j) in x0.interior() {
             if (i + j) % 2 == 0 {
                 assert_eq!(x2.at(i, j), x0.at(i, j), "red cell ({i},{j}) changed");
@@ -289,7 +258,7 @@ mod tests {
         let mut scratch = Grid2d::zeros(9);
         let initial = l2_diff(&x, &x_opt, &e);
         for _ in 0..800 {
-            jacobi_sweep(&mut x, &b, 2.0 / 3.0, &mut scratch, &e);
+            jacobi_sweep_op(POISSON, &mut x, &b, 2.0 / 3.0, &mut scratch, &e);
         }
         assert!(l2_diff(&x, &x_opt, &e) < 1e-8 * initial.max(1.0));
     }
@@ -304,12 +273,12 @@ mod tests {
 
         let mut xs = x0.clone();
         for _ in 0..sweeps {
-            sor_sweep(&mut xs, &b, omega_opt(17), &e);
+            sor_sweep_op(POISSON, &mut xs, &b, omega_opt(17), &e);
         }
         let mut xj = x0.clone();
         let mut scratch = Grid2d::zeros(17);
         for _ in 0..sweeps {
-            jacobi_sweep(&mut xj, &b, 2.0 / 3.0, &mut scratch, &e);
+            jacobi_sweep_op(POISSON, &mut xj, &b, 2.0 / 3.0, &mut scratch, &e);
         }
         let err_sor = l2_diff(&xs, &x_opt, &e);
         let err_jac = l2_diff(&xj, &x_opt, &e);
@@ -326,8 +295,8 @@ mod tests {
         let e = Exec::seq();
         let mut scratch = Grid2d::zeros(9);
         for _ in 0..5 {
-            sor_sweep(&mut x, &b, 1.5, &e);
-            jacobi_sweep(&mut x, &b, 0.9, &mut scratch, &e);
+            sor_sweep_op(POISSON, &mut x, &b, 1.5, &e);
+            jacobi_sweep_op(POISSON, &mut x, &b, 0.9, &mut scratch, &e);
         }
         for i in 0..9 {
             for j in [0, 8] {
@@ -345,7 +314,8 @@ mod tests {
         residual(&x, &b, &mut r, &e);
         let r0 = l2_norm_interior(&r, &e);
         for _ in 0..20 {
-            gauss_seidel_sweep(&mut x, &b, &e);
+            // Gauss-Seidel in red-black order: SOR with ω = 1.
+            sor_sweep_op(POISSON, &mut x, &b, 1.0, &e);
         }
         residual(&x, &b, &mut r, &e);
         let r1 = l2_norm_interior(&r, &e);

@@ -8,7 +8,7 @@
 
 use petamg::grid::{l2_diff, l2_norm_interior, residual, Exec, Grid2d};
 use petamg::prelude::*;
-use petamg::solvers::{sor_sweep, DirectSolverCache, MgConfig, ReferenceSolver};
+use petamg::solvers::{sor_sweep_op, DirectSolverCache, MgConfig, ReferenceSolver};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ fn main() {
         let start = Instant::now();
         let mut iters = 0;
         while l2_diff(&x, &x_opt, &exec) > e0 / target && iters < 50_000 {
-            sor_sweep(&mut x, &inst.b, omega, &exec);
+            sor_sweep_op(&StencilOp::Poisson, &mut x, &inst.b, omega, &exec);
             iters += 1;
         }
         println!(

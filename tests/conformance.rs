@@ -34,8 +34,8 @@ use petamg::grid::{
 };
 use petamg::prelude::*;
 use petamg::problems::residual_op;
-use petamg::solvers::relax::{sor_sweep, sor_sweep_op, OMEGA_CYCLE};
-use petamg::solvers::DirectSolverCache;
+use petamg::solvers::relax::{sor_sweep_op, OMEGA_CYCLE};
+use petamg::solvers::{direct_solve_uncached, DirectSolverCache};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -178,22 +178,17 @@ fn knob_modes() -> Vec<(&'static str, KnobMode)> {
 /// residual, restrict, and interpolate passes, sequential, no fusion,
 /// no temporal blocking, no workspace pooling. This is the semantic
 /// ground truth every fused/blocked/parallel combination must match
-/// bitwise.
-fn staged_run(
-    fam: &TunedFamily,
-    level: usize,
-    acc: usize,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    cache: &Arc<DirectSolverCache>,
-) {
+/// bitwise. Direct solves refactor through `direct_solve_uncached`
+/// (`PoissonDirect`), independent of the cached `OpDirect` factors the
+/// executor under test uses.
+fn staged_run(fam: &TunedFamily, level: usize, acc: usize, x: &mut Grid2d, b: &Grid2d) {
     let seq = Exec::seq();
     match fam.plan(level, acc) {
-        Choice::Direct => cache.solve(x, b),
+        Choice::Direct => direct_solve_uncached(x, b),
         Choice::Sor { iterations } => {
             let omega = petamg::solvers::relax::omega_opt(x.n());
             for _ in 0..iterations {
-                sor_sweep(x, b, omega, &seq);
+                sor_sweep_op(&StencilOp::Poisson, x, b, omega, &seq);
             }
         }
         Choice::Recurse {
@@ -201,36 +196,29 @@ fn staged_run(
             iterations,
         } => {
             for _ in 0..iterations {
-                staged_recurse(fam, level, sub_accuracy as usize, x, b, cache);
+                staged_recurse(fam, level, sub_accuracy as usize, x, b);
             }
         }
     }
 }
 
-fn staged_recurse(
-    fam: &TunedFamily,
-    level: usize,
-    sub: usize,
-    x: &mut Grid2d,
-    b: &Grid2d,
-    cache: &Arc<DirectSolverCache>,
-) {
+fn staged_recurse(fam: &TunedFamily, level: usize, sub: usize, x: &mut Grid2d, b: &Grid2d) {
     let seq = Exec::seq();
     if level <= 1 {
-        cache.solve(x, b);
+        direct_solve_uncached(x, b);
         return;
     }
     let n = level_size(level);
     let nc = coarse_size(n);
-    sor_sweep(x, b, OMEGA_CYCLE, &seq);
+    sor_sweep_op(&StencilOp::Poisson, x, b, OMEGA_CYCLE, &seq);
     let mut r = Grid2d::zeros(n);
     residual(x, b, &mut r, &seq);
     let mut bc = Grid2d::zeros(nc);
     restrict_full_weighting(&r, &mut bc, &seq);
     let mut ec = Grid2d::zeros(nc);
-    staged_run(fam, level - 1, sub, &mut ec, &bc, cache);
+    staged_run(fam, level - 1, sub, &mut ec, &bc);
     interpolate_add(&ec, x, &seq);
-    sor_sweep(x, b, OMEGA_CYCLE, &seq);
+    sor_sweep_op(&StencilOp::Poisson, x, b, OMEGA_CYCLE, &seq);
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +359,7 @@ fn all_backend_knob_combinations_match_staged_reference() {
             for acc in [0usize, 1] {
                 // Ground truth: the staged, unfused, sequential path.
                 let mut x_ref = inst.working_grid();
-                staged_run(&fam, LEVEL, acc, &mut x_ref, &inst.b, &cache);
+                staged_run(&fam, LEVEL, acc, &mut x_ref, &inst.b);
 
                 // Reference op counts from the fused seq executor.
                 let baseline = run_case(
@@ -467,7 +455,7 @@ fn operator_families_match_their_staged_references() {
                 // The operator seam's Poisson path must be the legacy
                 // staged path, bit for bit.
                 let mut x_legacy = inst.working_grid();
-                staged_run(&fam, LEVEL, acc, &mut x_legacy, &inst.b, &cache);
+                staged_run(&fam, LEVEL, acc, &mut x_legacy, &inst.b);
                 assert_eq!(
                     x_ref.as_slice(),
                     x_legacy.as_slice(),
@@ -532,7 +520,7 @@ fn tuned_family_conforms_and_solve_applies_its_table() {
     let acc = tuned.acc_index_for(1e5);
 
     let mut x_ref = inst.working_grid();
-    staged_run(&tuned, LEVEL, acc, &mut x_ref, &inst.b, &cache);
+    staged_run(&tuned, LEVEL, acc, &mut x_ref, &inst.b);
 
     let modes = knob_modes();
     for (backend_name, exec) in &backends() {

@@ -156,7 +156,7 @@ fn iteration_scaling_matches_complexity_table() {
         let omega = petamg::solvers::omega_opt(n);
         let mut it = 0;
         while l2_diff(&x, &x_opt, &exec) > e0 / 1e3 && it < 100_000 {
-            petamg::solvers::sor_sweep(&mut x, &inst.b, omega, &exec);
+            petamg::solvers::sor_sweep_op(&StencilOp::Poisson, &mut x, &inst.b, omega, &exec);
             it += 1;
         }
         sor_iters.push(it);
